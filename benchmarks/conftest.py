@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one figure or theorem of the paper (see
-DESIGN.md, "Per-experiment index") and prints the corresponding table so the
+Every benchmark regenerates one figure or theorem of the paper (see the
+README's "Paper → module map") and prints the corresponding table so the
 textual output of ``pytest benchmarks/ --benchmark-only -s`` reads like the
 paper's results section.  The timing numbers collected by pytest-benchmark
 measure the cost of regenerating each artifact.

@@ -10,10 +10,10 @@ agents collide, so when ``max_id`` reaches ``n`` all ids are distinct and
 stable (Lemma 3).  At that point the agent hands its (now unique) id to the
 ``SID`` simulator of Theorem 4.5 and starts simulating.
 
-Documented deviation from the paper's prose (see DESIGN.md): the paper
-writes ``start_sim(max_id)``; the value passed to the simulator must be the
-agent's own unique identifier, so we pass ``my_id`` (passing ``max_id``
-would give every agent the same id ``n``).
+Documented deviation from the paper's prose (see "Documented deviations
+from the paper" in ``docs/architecture.md``): the paper writes
+``start_sim(max_id)``; the simulator must receive the agent's own unique
+id, so we pass ``my_id`` (``max_id`` would give every agent the id ``n``).
 """
 
 from __future__ import annotations

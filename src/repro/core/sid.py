@@ -19,12 +19,12 @@ matching of simulated state changes:
   longer pointing at it; a pairing agent whose chosen partner moved on rolls
   back the same way (lines 14-16 of Figure 3).
 
-Documented deviation from Figure 3 (correctness-preserving, see DESIGN.md):
-line 13 of the paper computes the reactor side from the locked partner's
-*current* simulated state, which has already been updated at line 9; we use
-the snapshot ``state_other`` saved when pairing (the partner's pre-lock
-state), which is the value ``delta_P`` must be applied to for the matching
-of Definition 3 to be consistent.
+Documented deviation from Figure 3 (correctness-preserving; see "Documented
+deviations from the paper" in ``docs/architecture.md``): line 13 computes
+the reactor side from the locked partner's *current* simulated state, which
+line 9 has already updated; we use the snapshot ``state_other`` saved when
+pairing (the partner's pre-lock state), which is the value ``delta_P`` must
+be applied to for the matching of Definition 3 to be consistent.
 """
 
 from __future__ import annotations

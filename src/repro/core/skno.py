@@ -34,7 +34,8 @@ the paper puts it):
   run is conserved.
 
 Two deliberate, documented deviations from the paper's prose (both
-correctness-preserving; see DESIGN.md):
+correctness-preserving; see "Documented deviations from the paper" in
+``docs/architecture.md``):
 
 1. State-change tokens carry the pair ``(q, r_old)`` where ``r_old`` is the
    reactor's simulated state *before* its update (the paper's prose writes
@@ -50,7 +51,7 @@ correctness-preserving; see DESIGN.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import SimulatorError, TwoWaySimulator
@@ -99,8 +100,9 @@ class JokerToken:
     """The wildcard token generated when an omission is detected."""
 
 
-def _is_joker(token) -> bool:
-    return isinstance(token, JokerToken)
+#: The joker the simulator enqueues.  All jokers compare equal; sharing one
+#: instance lets queue searches succeed on identity.
+JOKER = JokerToken()
 
 
 # ---------------------------------------------------------------------------------------------
@@ -108,7 +110,7 @@ def _is_joker(token) -> bool:
 # ---------------------------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SKnOState:
     """Composite state of one agent running ``SKnO``.
 
@@ -123,7 +125,7 @@ class SKnOState:
     owed:
         The ``Jokers`` multiset of the paper: tokens that jokers stood in
         for, kept so that late-arriving originals can be converted back into
-        jokers (stored as a sorted tuple for hashability).
+        jokers (stored as a repr-sorted tuple for hashability).
     """
 
     sim: State
@@ -137,7 +139,16 @@ class SKnOState:
 
     def joker_count(self) -> int:
         """Number of joker tokens currently in the sending queue."""
-        return sum(1 for token in self.sending if _is_joker(token))
+        return sum(1 for token in self.sending if isinstance(token, JokerToken))
+
+
+#: A run found in a queue: ``(key, present, missing)``, where ``present``
+#: maps each index found to the first token carrying it and ``missing``
+#: lists the indices jokers must fill.
+_FoundRun = Tuple[State, Dict[int, object], List[int]]
+
+#: ``_find_state_run``'s default target: the run of any state.
+_ANY_STATE: State = object()
 
 
 # ---------------------------------------------------------------------------------------------
@@ -146,7 +157,13 @@ class SKnOState:
 
 
 class SKnOSimulator(TwoWaySimulator):
-    """Token-based simulator for ``I3``/``I4`` with a known omission bound (Theorem 4.1)."""
+    """Token-based simulator for ``I3``/``I4`` with a known omission bound (Theorem 4.1).
+
+    One instance is shared by every run of an experiment, including runs on
+    concurrent threads, so the transitions must stay pure functions of their
+    arguments.  The only instance state they touch is the memo of token
+    runs, which is idempotent.
+    """
 
     #: Tokens carry no agent identities, so the extracted matching only pins
     #: down the multiset of simulated interactions; verification uses the
@@ -172,6 +189,9 @@ class SKnOSimulator(TwoWaySimulator):
             self.compatible_models = ("I3", "IT") if omission_bound == 0 else ("I3",)
         else:
             self.compatible_models = ("I4", "IT") if omission_bound == 0 else ("I4",)
+        self._indices = tuple(range(1, omission_bound + 2))
+        self._state_runs: Dict[State, Tuple[StateToken, ...]] = {}
+        self._change_runs: Dict[Tuple[State, State], Tuple[ChangeToken, ...]] = {}
 
     # -- basic quantities ---------------------------------------------------------------------
 
@@ -181,17 +201,25 @@ class SKnOSimulator(TwoWaySimulator):
         return self.omission_bound + 1
 
     def _state_run(self, q: State) -> Tuple[StateToken, ...]:
-        return tuple(StateToken(q, i) for i in range(1, self.run_length + 1))
+        run = self._state_runs.get(q)
+        if run is None:
+            run = self._state_runs.setdefault(
+                q, tuple(StateToken(q, i) for i in self._indices))
+        return run
 
     def _change_run(self, q: State, r_old: State) -> Tuple[ChangeToken, ...]:
-        return tuple(ChangeToken(q, r_old, i) for i in range(1, self.run_length + 1))
+        run = self._change_runs.get((q, r_old))
+        if run is None:
+            run = self._change_runs.setdefault(
+                (q, r_old), tuple(ChangeToken(q, r_old, i) for i in self._indices))
+        return run
 
     # -- initial states -----------------------------------------------------------------------
 
     def initial_state(self, p_state: State, **knowledge) -> SKnOState:
         """Composite initial state: available, empty queue, no jokers owed."""
         self.protocol.validate_initial_state(p_state)
-        return SKnOState(sim=p_state)
+        return SKnOState(p_state)
 
     def initial_configuration(self, p_configuration: Configuration, **knowledge) -> Configuration:
         return Configuration(self.initial_state(p) for p in p_configuration)
@@ -201,38 +229,32 @@ class SKnOSimulator(TwoWaySimulator):
 
     # -- starter behaviour (function g) ----------------------------------------------------------
 
-    def _effective_outgoing(self, state: SKnOState) -> Tuple[Optional[object], SKnOState]:
-        """What a starter transmits, and its post-transmission state.
+    def outgoing_token(self, state: SKnOState) -> Optional[object]:
+        """The token a starter in ``state`` transmits (``None`` if nothing to send).
 
         An available starter with an empty queue first goes pending and
-        enqueues its state run; then (in any case) the front token of the
-        queue, if any, is transmitted and removed.
+        enqueues its state run; then the front token of the queue, if any,
+        is transmitted.
         """
-        phase = state.phase
-        queue = state.sending
-        if phase == AVAILABLE and not queue:
-            phase = PENDING
-            queue = self._state_run(state.sim)
-        if queue:
-            token = queue[0]
-            return token, replace(state, phase=phase, sending=queue[1:])
-        return None, replace(state, phase=phase, sending=queue)
-
-    def outgoing_token(self, state: SKnOState) -> Optional[object]:
-        """The token a starter in ``state`` would transmit (``None`` if nothing to send)."""
-        token, _ = self._effective_outgoing(state)
-        return token
+        if state.sending:
+            return state.sending[0]
+        if state.phase == AVAILABLE:
+            return self._state_run(state.sim)[0]
+        return None
 
     def g(self, starter: SKnOState) -> SKnOState:
-        _, new_state = self._effective_outgoing(starter)
-        return new_state
+        """The starter's post-transmission state: the front token leaves its queue."""
+        queue = starter.sending
+        if queue:
+            return SKnOState(starter.sim, starter.phase, queue[1:], starter.owed)
+        if starter.phase == AVAILABLE:
+            return SKnOState(starter.sim, PENDING, self._state_run(starter.sim)[1:], starter.owed)
+        return starter
 
     # -- reactor behaviour (function f) -------------------------------------------------------------
 
     def f(self, starter: SKnOState, reactor: SKnOState) -> SKnOState:
-        token = self.outgoing_token(starter)
-        new_state, _ = self._receive(reactor, token)
-        return new_state
+        return self._receive(reactor, self.outgoing_token(starter))[0]
 
     # -- omission handlers -------------------------------------------------------------------------
 
@@ -240,190 +262,169 @@ class SKnOSimulator(TwoWaySimulator):
         """``h`` for the ``I3`` variant: enqueue a joker, then run the usual checks."""
         if self.variant != VARIANT_I3:
             return reactor
-        new_state, _ = self._receive(reactor, JokerToken())
-        return new_state
+        return self._receive(reactor, JOKER)[0]
 
     def on_starter_omission(self, starter: SKnOState) -> SKnOState:
         """``o`` for the ``I4`` variant: keep the queue intact and enqueue a joker."""
         if self.variant != VARIANT_I4:
             return starter
-        return replace(starter, sending=starter.sending + (JokerToken(),))
+        return SKnOState(starter.sim, starter.phase, starter.sending + (JOKER,), starter.owed)
 
     # -- token reception and consumption ----------------------------------------------------------------
 
     def _receive(
         self, reactor: SKnOState, token: Optional[object]
-    ) -> Tuple[SKnOState, List[SimulationEvent]]:
+    ) -> Tuple[SKnOState, Sequence[SimulationEvent]]:
         """Process a received token (or joker, or nothing) and run the check pipeline.
 
         Returns the new state together with the simulation events generated,
         so the same code path serves both execution (events discarded) and
         post-hoc event extraction.
         """
-        state = reactor
-        if token is not None:
-            state = self._enqueue_received(state, token)
-        state = self._preliminary_check(state)
-        state, events = self._core_check(state)
-        return state, events
+        state = reactor if token is None else self._enqueue_received(reactor, token)
+        return self._core_check(self._preliminary_check(state))
 
     def _enqueue_received(self, state: SKnOState, token) -> SKnOState:
         """Enqueue a received token, applying the joker bookkeeping of the paper."""
-        if not _is_joker(token) and token in state.owed:
+        owed = state.owed
+        if owed and type(token) is not JokerToken and token in owed:
             # A real token arrives for a slot that a joker already filled:
             # the original is converted back into a joker so the global
             # token count per run stays (o + 1).
-            owed = list(state.owed)
-            owed.remove(token)
-            return replace(
-                state,
-                sending=state.sending + (JokerToken(),),
-                owed=tuple(owed),
-            )
-        return replace(state, sending=state.sending + (token,))
+            remaining = list(owed)
+            remaining.remove(token)
+            return SKnOState(state.sim, state.phase, state.sending + (JOKER,), tuple(remaining))
+        return SKnOState(state.sim, state.phase, state.sending + (token,), owed)
 
     # .. run-completion search ..................................................................
 
-    def _find_state_run(
-        self, state: SKnOState, target: State
-    ) -> Optional[Tuple[List[object], List[StateToken]]]:
-        """Find a complete run of state tokens for ``target`` in the queue.
+    def _find_state_run(self, queue: Tuple, target: State = _ANY_STATE) -> Optional[_FoundRun]:
+        """The completable run of state tokens needing the fewest jokers, in one pass.
 
-        Returns ``(tokens_to_remove, slots_filled_by_jokers)`` or ``None``.
-        ``tokens_to_remove`` includes the jokers that are consumed as
-        wildcards.
+        With ``target`` given, only the run of ``target`` is considered.
+        Ties are broken by the state's repr, so executions stay
+        deterministic.
         """
-        present: Dict[int, StateToken] = {}
-        for token in state.sending:
-            if isinstance(token, StateToken) and token.state == target and token.index not in present:
-                present[token.index] = token
-        missing = [i for i in range(1, self.run_length + 1) if i not in present]
-        jokers = [token for token in state.sending if _is_joker(token)]
-        if len(missing) > len(jokers):
+        runs: Dict[State, Dict[int, StateToken]] = {}
+        jokers = 0
+        for token in queue:
+            kind = type(token)
+            if kind is StateToken:
+                q = token.state
+                if target is not _ANY_STATE and q != target:
+                    continue
+                present = runs.get(q)
+                if present is None:
+                    runs[q] = {token.index: token}
+                elif token.index not in present:
+                    present[token.index] = token
+            elif kind is JokerToken:
+                jokers += 1
+        if target is not _ANY_STATE and target not in runs:
+            runs[target] = {}
+        return self._best_run(runs, jokers)
+
+    def _find_change_run(self, queue: Tuple, starter_state: State) -> Optional[_FoundRun]:
+        """The completable run of change tokens ``<(starter_state, r_old), i>``, in one pass.
+
+        The key of the result is ``r_old``; when several reactor states
+        could complete, the one needing the fewest jokers (ties broken by
+        repr) is chosen so executions stay deterministic.
+        """
+        runs: Dict[State, Dict[int, ChangeToken]] = {}
+        jokers = 0
+        for token in queue:
+            kind = type(token)
+            if kind is ChangeToken:
+                if token.starter_state != starter_state:
+                    continue
+                r_old = token.reactor_old_state
+                present = runs.get(r_old)
+                if present is None:
+                    runs[r_old] = {token.index: token}
+                elif token.index not in present:
+                    present[token.index] = token
+            elif kind is JokerToken:
+                jokers += 1
+        if not runs:
             return None
-        to_remove: List[object] = list(present.values()) + jokers[: len(missing)]
-        joker_slots = [StateToken(target, i) for i in missing]
-        return to_remove, joker_slots
+        return self._best_run(runs, jokers)
 
-    def _find_change_run(
-        self, state: SKnOState
-    ) -> Optional[Tuple[List[object], List[ChangeToken], State]]:
-        """Find a complete run of change tokens whose starter state is ``state.sim``.
-
-        Returns ``(tokens_to_remove, slots_filled_by_jokers, reactor_old_state)``
-        or ``None``; when several reactor states could complete, the one
-        needing the fewest jokers (ties broken by repr) is chosen so
-        executions stay deterministic.
-        """
-        candidates: Dict[State, Dict[int, ChangeToken]] = {}
-        for token in state.sending:
-            if isinstance(token, ChangeToken) and token.starter_state == state.sim:
-                candidates.setdefault(token.reactor_old_state, {})
-                candidates[token.reactor_old_state].setdefault(token.index, token)
-        jokers = [token for token in state.sending if _is_joker(token)]
+    def _best_run(self, runs: Dict, jokers: int) -> Optional[_FoundRun]:
+        """Among ``runs`` that ``jokers`` can complete, the one missing fewest (then by repr)."""
         best = None
-        for reactor_old, present in candidates.items():
-            missing = [i for i in range(1, self.run_length + 1) if i not in present]
-            if len(missing) > len(jokers):
+        for key, present in runs.items():
+            if len(present) + jokers < len(self._indices):
                 continue
-            key = (len(missing), repr(reactor_old))
-            if best is None or key < best[0]:
-                to_remove = list(present.values()) + jokers[: len(missing)]
-                joker_slots = [ChangeToken(state.sim, reactor_old, i) for i in missing]
-                best = (key, to_remove, joker_slots, reactor_old)
-        if best is None:
-            return None
-        return best[1], best[2], best[3]
+            missing = [i for i in self._indices if i not in present]
+            if len(missing) > jokers:
+                continue
+            if best is None or (len(missing), repr(key)) < (len(best[2]), repr(best[0])):
+                best = (key, present, missing)
+        return best
 
     def _consume(
-        self, state: SKnOState, to_remove: Sequence[object], joker_slots: Sequence[object]
-    ) -> SKnOState:
-        """Remove consumed tokens from the queue and record joker substitutions."""
+        self, state: SKnOState, present: Dict[int, object], missing: List[int], run: Tuple
+    ) -> Tuple[Tuple, Tuple]:
+        """The queue and ``owed`` left after consuming a run: ``(sending, owed)``.
+
+        The run's tokens found in the queue and one joker per missing index
+        leave the queue; the tokens the jokers stood in for are owed.
+        """
         queue = list(state.sending)
-        for token in to_remove:
+        for token in present.values():
             queue.remove(token)
-        owed = tuple(sorted(state.owed + tuple(joker_slots), key=repr))
-        return replace(state, sending=tuple(queue), owed=owed)
+        for _ in missing:
+            queue.remove(JOKER)
+        owed = state.owed
+        if missing:  # ``owed`` is kept repr-sorted, so only additions need a sort
+            owed = tuple(sorted(owed + tuple(run[i - 1] for i in missing), key=repr))
+        return tuple(queue), owed
 
     # .. the two check passes ...................................................................
 
     def _preliminary_check(self, state: SKnOState) -> SKnOState:
         """A pending agent that sees its own un-consumed state run retracts it."""
-        if state.phase != PENDING:
+        if state.phase != PENDING or not state.sending:
             return state
-        found = self._find_state_run(state, state.sim)
+        found = self._find_state_run(state.sending, state.sim)
         if found is None:
             return state
-        to_remove, joker_slots = found
-        state = self._consume(state, to_remove, joker_slots)
-        return replace(state, phase=AVAILABLE)
+        _, present, missing = found
+        sending, owed = self._consume(state, present, missing, self._state_run(state.sim))
+        return SKnOState(state.sim, AVAILABLE, sending, owed)
 
-    def _core_check(self, state: SKnOState) -> Tuple[SKnOState, List[SimulationEvent]]:
+    def _core_check(self, state: SKnOState) -> Tuple[SKnOState, Sequence[SimulationEvent]]:
         """The core consumption step; returns the new state and any simulation events.
 
         The event objects produced here carry ``step=-1`` and ``agent=-1``;
         the trace-level extractor fills those fields in.
         """
-        events: List[SimulationEvent] = []
+        if not state.sending:
+            return state, ()
+        old_sim = state.sim
         if state.phase == AVAILABLE:
-            candidate_states = sorted(
-                {
-                    token.state
-                    for token in state.sending
-                    if isinstance(token, StateToken)
-                },
-                key=repr,
-            )
-            best = None
-            for q in candidate_states:
-                found = self._find_state_run(state, q)
-                if found is None:
-                    continue
-                to_remove, joker_slots = found
-                key = (len(joker_slots), repr(q))
-                if best is None or key < best[0]:
-                    best = (key, q, to_remove, joker_slots)
-            if best is not None:
-                _, q, to_remove, joker_slots = best
-                old_sim = state.sim
-                new_sim = self.delta(q, old_sim)[1]
-                state = self._consume(state, to_remove, joker_slots)
-                state = replace(
-                    state,
-                    sim=new_sim,
-                    sending=state.sending + self._change_run(q, old_sim),
-                )
-                events.append(
-                    SimulationEvent(
-                        step=-1,
-                        agent=-1,
-                        role=REACTOR_ROLE,
-                        pre_sim=old_sim,
-                        post_sim=new_sim,
-                        partner_pre_sim=q,
-                        key=(q, old_sim),
-                    )
-                )
-        elif state.phase == PENDING:
-            found = self._find_change_run(state)
-            if found is not None:
-                to_remove, joker_slots, reactor_old = found
-                old_sim = state.sim
-                new_sim = self.delta(old_sim, reactor_old)[0]
-                state = self._consume(state, to_remove, joker_slots)
-                state = replace(state, sim=new_sim, phase=AVAILABLE)
-                events.append(
-                    SimulationEvent(
-                        step=-1,
-                        agent=-1,
-                        role=STARTER_ROLE,
-                        pre_sim=old_sim,
-                        post_sim=new_sim,
-                        partner_pre_sim=reactor_old,
-                        key=(old_sim, reactor_old),
-                    )
-                )
-        return state, events
+            found = self._find_state_run(state.sending)
+            if found is None:
+                return state, ()
+            q, present, missing = found
+            new_sim = self.delta(q, old_sim)[1]
+            sending, owed = self._consume(state, present, missing, self._state_run(q))
+            event = SimulationEvent(step=-1, agent=-1, role=REACTOR_ROLE, pre_sim=old_sim,
+                                    post_sim=new_sim, partner_pre_sim=q, key=(q, old_sim))
+            sending += self._change_run(q, old_sim)
+            return SKnOState(new_sim, AVAILABLE, sending, owed), (event,)
+        found = self._find_change_run(state.sending, old_sim) if state.phase == PENDING else None
+        if found is None:
+            return state, ()
+        reactor_old, present, missing = found
+        new_sim = self.delta(old_sim, reactor_old)[0]
+        run = self._change_run(old_sim, reactor_old)
+        sending, owed = self._consume(state, present, missing, run)
+        event = SimulationEvent(step=-1, agent=-1, role=STARTER_ROLE, pre_sim=old_sim,
+                                post_sim=new_sim, partner_pre_sim=reactor_old,
+                                key=(old_sim, reactor_old))
+        return SKnOState(new_sim, AVAILABLE, sending, owed), (event,)
 
     # -- event extraction ----------------------------------------------------------------------------
 
@@ -441,22 +442,15 @@ class SKnOSimulator(TwoWaySimulator):
             interaction = step.interaction
             if interaction.is_omissive:
                 if self.variant == VARIANT_I3:
-                    _, step_events = self._receive(step.reactor_pre, JokerToken())
+                    _, step_events = self._receive(step.reactor_pre, JOKER)
                 else:
-                    step_events = []
+                    step_events = ()
             else:
                 token = self.outgoing_token(step.starter_pre)
                 _, step_events = self._receive(step.reactor_pre, token)
-            for event in step_events:
-                events.append(
-                    SimulationEvent(
-                        step=step.index,
-                        agent=interaction.reactor,
-                        role=event.role,
-                        pre_sim=event.pre_sim,
-                        post_sim=event.post_sim,
-                        partner_pre_sim=event.partner_pre_sim,
-                        key=event.key,
-                    )
-                )
+            events.extend(
+                SimulationEvent(step=step.index, agent=interaction.reactor, role=event.role,
+                                pre_sim=event.pre_sim, post_sim=event.post_sim,
+                                partner_pre_sim=event.partner_pre_sim, key=event.key)
+                for event in step_events)
         return events

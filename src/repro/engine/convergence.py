@@ -258,25 +258,27 @@ def run_until_stable_core(
             last_steps=recorder.last_steps(),
         )
 
-    progress = {"consecutive": consecutive, "first": first_of_streak, "steps": 0}
+    steps = 0
     wants_deltas = getattr(incremental, "consumes_deltas", True)
+    update = incremental.update
 
     def on_step(interaction, starter_pre, starter_post, reactor_pre, reactor_post) -> bool:
-        progress["steps"] += 1
+        nonlocal steps, consecutive, first_of_streak
+        steps += 1
         deltas = ()
         if wants_deltas:
-            if starter_pre != starter_post:
+            if starter_pre is not starter_post and starter_pre != starter_post:
                 deltas = ((interaction.starter, starter_pre, starter_post),)
-            if reactor_pre != reactor_post:
+            if reactor_pre is not reactor_post and reactor_pre != reactor_post:
                 deltas += ((interaction.reactor, reactor_pre, reactor_post),)
-        if incremental.update(deltas):
-            if progress["consecutive"] == 0:
-                progress["first"] = progress["steps"]
-            progress["consecutive"] += 1
+        if update(deltas):
+            if consecutive == 0:
+                first_of_streak = steps
+            consecutive += 1
         else:
-            progress["consecutive"] = 0
-            progress["first"] = None
-        return progress["consecutive"] >= target
+            consecutive = 0
+            first_of_streak = None
+        return consecutive >= target
 
     steps_done, _stopped = run_core(
         program,
@@ -291,11 +293,11 @@ def run_until_stable_core(
     )
 
     final = buffer.freeze()
-    converged = progress["consecutive"] >= target
+    converged = consecutive >= target
     return ConvergenceResult(
         converged=converged,
         steps_executed=steps_done,
-        steps_to_convergence=progress["first"] if converged else None,
+        steps_to_convergence=first_of_streak if converged else None,
         trace=recorder.build_trace(initial_configuration, final),
         final=final,
         omissions=recorder.omissions,

@@ -175,12 +175,14 @@ class OneWayModel(InteractionModel):
     #: Whether the reactor applies ``g`` (proximity detection) on an omission.
     reactor_detects_proximity_on_omission: bool = False
 
-    def _require_one_way_program(self, program: Any) -> None:
-        if not hasattr(program, "f"):
+    def _require_one_way_program(self, program: Any) -> Callable[[State, State], State]:
+        f = getattr(program, "f", None)
+        if f is None:
             raise ModelError(
                 f"model {self.name} requires a one-way program exposing f (and g); "
                 f"got {type(program).__name__}"
             )
+        return f
 
     def _apply_g(self, program: Any, state: State) -> State:
         if not self.starter_detects_proximity:
@@ -197,15 +199,12 @@ class OneWayModel(InteractionModel):
         reactor_state: State,
         omission: Omission = NO_OMISSION,
     ) -> Tuple[State, State]:
-        self._require_one_way_program(program)
-        self.validate_omission(omission)
-
+        f = self._require_one_way_program(program)
         if not omission.is_omissive:
-            new_starter = self._apply_g(program, starter_state)
-            new_reactor = program.f(starter_state, reactor_state)
-            return new_starter, new_reactor
+            return self._apply_g(program, starter_state), f(starter_state, reactor_state)
 
         # Omissive interaction: the reactor did not receive the starter's state.
+        self.validate_omission(omission)
         if self.starter_detects_omission:
             new_starter = _starter_omission_handler(program)(starter_state)
         else:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.campaign.spec import (
 )
 from repro.campaign.store import ResultStore, StoreError
 from repro.cli import main
-from repro.engine.experiment import ExperimentResult
+from repro.engine.experiment import ExperimentResult, run_spec
 from repro.protocols.registry import ADVERSARIES, ExperimentSpec
 from repro.adversary.omission import (
     BoundedOmissionAdversary,
@@ -581,6 +582,58 @@ class TestRunAndResume:
         status = campaign_status(plan, store)
         assert (status.done, status.pending) == (2, 2)
         assert not status.complete
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_skno_thread_fanout_store_matches_sequential_byte_for_byte(self, tmp_path, jobs):
+        """Thread workers share one SKnO simulator; its transitions must stay pure.
+
+        A short switch interval makes the threads interleave inside single
+        transitions, so per-instance scratch state would corrupt a run."""
+        data = {
+            "name": "skno-threads",
+            "base": {"protocol": "pairing", "population": 6, "simulator": "skno",
+                     "model": "I3", "omission_bound": 2},
+            "axes": {"omissions": [1, 2]},
+            "runs": 4,
+            "base_seed": 1,
+            "max_steps": 150_000,
+            "stability_window": 200,
+        }
+        plan = plan_campaign(campaign_from_dict(data))
+        sequential = fresh_store(tmp_path, plan, "jobs1.jsonl")
+        run_campaign(plan, sequential, jobs=1)
+        threaded = fresh_store(tmp_path, plan, "threads.jsonl")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_campaign(plan, threaded, jobs=jobs, jobs_backend="thread")
+        finally:
+            sys.setswitchinterval(interval)
+        assert campaign_status(plan, sequential).errors == 0
+        with open(sequential.path, "rb") as one, open(threaded.path, "rb") as two:
+            assert one.read() == two.read()
+
+
+class TestFigure4Golden:
+    def test_skno_ring_two_omissions_trajectories_are_pinned(self):
+        """Per-run (steps_to_convergence, steps_executed, omissions) of the
+        shipped spec's SKnO/I3 ring cell with an omission budget of 2, at the
+        spec's own ``base_seed`` 1.  Any change to SKnO's transitions, the
+        one-way model, the ring scheduler or the adversary moves these."""
+        plan = plan_campaign(campaign_from_file(EXAMPLE_SPEC))
+        campaign = plan.campaign
+        assert campaign.base_seed == 1
+        (cell,) = [cell for cell in plan.cells if cell.labels == {
+            "assumption": "knowledge-of-omissions", "topology": "ring", "omissions": "2"}]
+        spec = cell.build_spec()
+        observed = []
+        for run_index in range(campaign.runs):
+            result = run_spec(spec, run_index, campaign.base_seed, campaign.max_steps,
+                              campaign.stability_window, "counts-only")
+            observed.append(
+                (result.steps_to_convergence, result.steps_executed, result.omissions))
+        assert observed == [
+            (2434, 2634, 2), (13035, 13235, 2), (2837, 3037, 2), (5670, 5870, 2)]
 
 
 # ---------------------------------------------------------------------------
