@@ -54,6 +54,7 @@ from repro.campaign.runner import (
     _tally,
     build_cell_record,
     progress_line,
+    select_pending,
 )
 from repro.campaign.store import _BaseStore
 from repro.obs.recorder import NULL_RECORDER, get_recorder
@@ -96,16 +97,7 @@ def run_campaign_parallel(
         raise ValueError("max_cells must be at least 1")
     emit = progress if progress is not None else (lambda _message: None)
     status = CampaignRunStatus(total=plan.total)
-    pending: List[PlannedCell] = []
-    for cell in plan.cells:
-        existing = store.record_for(cell.cell_id)
-        if existing is not None:
-            _tally(status, existing)
-        else:
-            pending.append(cell)
-    selected = pending if max_cells is None else pending[:max_cells]
-    if len(selected) < len(pending):
-        status.interrupted = True
+    selected = select_pending(plan, store, status, max_cells)
 
     def persist(future: Future, cell: PlannedCell) -> None:
         record = future.result()

@@ -60,6 +60,7 @@ class QueuedCampaign:
     jobs_backend: str
     run_chunk: int
     status: CampaignRunStatus
+    result_transport: str = "pickle"
 
     @property
     def name(self) -> str:
@@ -114,8 +115,8 @@ class CampaignQueue:
 
     def submit(self, plan: CampaignPlan, store: _BaseStore, *,
                priority: Optional[int] = None, jobs: int = 1,
-               jobs_backend: str = "thread",
-               run_chunk: int = 1) -> QueuedCampaign:
+               jobs_backend: str = "thread", run_chunk: int = 1,
+               result_transport: str = "pickle") -> QueuedCampaign:
         """Enqueue a campaign.  ``priority`` defaults to the spec's own
         ``priority`` field; larger values drain first."""
         entry = QueuedCampaign(
@@ -127,6 +128,7 @@ class CampaignQueue:
             jobs_backend=jobs_backend,
             run_chunk=run_chunk,
             status=CampaignRunStatus(total=plan.total),
+            result_transport=result_transport,
         )
         self._entries.append(entry)
         return entry
@@ -236,7 +238,8 @@ class CampaignQueue:
                     future = pool.submit(
                         build_cell_record, cell, entry.plan, jobs=entry.jobs,
                         jobs_backend=entry.jobs_backend,
-                        run_chunk=entry.run_chunk)
+                        run_chunk=entry.run_chunk,
+                        result_transport=entry.result_transport)
                     futures.append(future)
                     item_of[future] = item
                 try:

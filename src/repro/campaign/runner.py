@@ -1,19 +1,20 @@
 """Campaign execution: dispatch planned cells and stream results to the store.
 
 The runner walks the plan in cell order, skips every cell the store
-already holds, and executes the rest through
-:func:`~repro.engine.experiment.repeat_experiment` — each cell fans its
-``runs`` seeds out over the existing sequential/thread/process backends
-(``jobs``/``jobs_backend``/``run_chunk`` are forwarded untouched), so a
-campaign inherits all the determinism guarantees those backends pin:
-a cell's result is a pure function of its resolved spec and seed block,
-whatever the fan-out.
+already holds, and executes the rest: one by one through
+:func:`~repro.engine.experiment.repeat_experiment` when ``jobs == 1``,
+pipelined through one worker pool whose batch window every cell shares
+(:func:`~repro.engine.experiment.merge_batches`) when ``jobs > 1``.
+Either way a campaign inherits the determinism guarantees the fan-out
+backends pin: a cell's result is a pure function of its resolved spec
+and seed block, and records persist in plan order, whatever the fan-out.
 
 Interruption is a first-class outcome, not an error: cells are persisted
-one by one with atomic appends, so killing the runner between (or during)
-cells loses at most the cell in flight.  ``max_cells`` bounds how many
-*new* cells one invocation executes — the CI smoke and the resume tests
-use it to interrupt campaigns at a deterministic prefix — and a
+one by one with atomic appends, so killing the runner loses at most the
+cells with batches in flight (at most ``2 x jobs`` batches).
+``max_cells`` bounds how many *new* cells one invocation executes — the
+CI smoke and the resume tests use it to interrupt campaigns at a
+deterministic prefix — and a
 ``KeyboardInterrupt`` mid-campaign is caught, reported, and leaves the
 store resumable.  ``repro campaign resume`` is the same walk again: done
 cells are skipped by content-addressed id, pending ones run, and the
@@ -31,14 +32,19 @@ against.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.campaign.planner import CampaignPlan, PlannedCell
-from repro.campaign.store import CELL_KIND, ResultStore
+from repro.campaign.store import CELL_KIND, ResultStore, _BaseStore
+from repro.engine import experiment
 from repro.engine.backends import BackendError
-from repro.engine.experiment import repeat_experiment
+from repro.engine.experiment import ExperimentResult, repeat_experiment
+from repro.engine.transport import resolve_transport
 from repro.obs.recorder import NULL_RECORDER, Recorder, get_recorder
+from repro.protocols.registry import resolved_spec
 
 
 @dataclass
@@ -161,12 +167,32 @@ def _cell_record_header(cell: PlannedCell) -> dict:
     }
 
 
+#: Per-cell failures, recorded as the cell's ``error`` record rather than
+#: aborting the campaign: backend compilation / availability failures, and
+#: registry keys or parameters that only fail at build time (the planner
+#: validates what it can up front, but e.g. kwargs contents and
+#: worker-side registries are only checked by the factories themselves).
+CELL_ERRORS = (BackendError, KeyError, TypeError, ValueError)
+
+
+def _cell_record(cell: PlannedCell, status: str, **outcome: object) -> dict:
+    return {**_cell_record_header(cell), "status": status, **outcome}
+
+
+def _error_record(cell: PlannedCell, error: Exception) -> dict:
+    # KeyError carries its message in args.
+    message = error.args[0] if isinstance(error, KeyError) and error.args \
+        else error
+    return _cell_record(cell, "error", error=str(message))
+
+
 def _execute_cell(cell: PlannedCell, plan: CampaignPlan, *, jobs: int,
                   jobs_backend: str, run_chunk: int,
                   result_transport: str) -> dict:
-    """Run one feasible cell and shape its persistent record."""
+    """Run one cell (or mark it ``n/a``) and shape its persistent record."""
+    if cell.skip_reason is not None:
+        return _cell_record(cell, "na", reason=cell.skip_reason)
     campaign = plan.campaign
-    record = _cell_record_header(cell)
     try:
         spec = cell.build_spec()
         result = repeat_experiment(
@@ -181,21 +207,9 @@ def _execute_cell(cell: PlannedCell, plan: CampaignPlan, *, jobs: int,
             trace_policy="counts-only",
             result_transport=result_transport,
         )
-    except (BackendError, KeyError, TypeError, ValueError) as error:
-        # Per-cell verdicts, not campaign aborts: backend compilation /
-        # availability failures, and registry keys or parameters that only
-        # fail at build time (the planner validates what it can up front,
-        # but e.g. kwargs contents and worker-side registries are only
-        # checked by the factories themselves) — record and keep sweeping.
-        # KeyError carries its message in args.
-        message = error.args[0] if isinstance(error, KeyError) and error.args \
-            else str(error)
-        record["status"] = "error"
-        record["error"] = str(message)
-        return record
-    record["status"] = "ok"
-    record["result"] = result.to_dict()
-    return record
+    except CELL_ERRORS as error:
+        return _error_record(cell, error)
+    return _cell_record(cell, "ok", result=result.to_dict())
 
 
 def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
@@ -211,40 +225,30 @@ def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
     even under the shm transport the record returned here is plain data,
     so the main thread stays the store's only appender.
 
-    This is also the one per-cell observability seam: every executor —
-    the serial walk, the parallel pool, the multi-campaign queue — funnels
-    through here, so per-cell wall time and verdicts are recorded exactly
-    once per computed cell, whatever scheduled it.  Telemetry is
+    The per-cell executors (the ``jobs == 1`` walk, the parallel pool,
+    the queue) call it once per cell; it records the cell's wall time and
+    verdict through :func:`_observe_cell`, which the pipelined ``jobs > 1``
+    walk calls for the records it builds batch by batch.  Telemetry is
     write-only: the returned record never carries it.
     """
-    obs = get_recorder()
-    if obs is NULL_RECORDER:
-        return _build_record(cell, plan, jobs, jobs_backend, run_chunk,
-                             result_transport)
     begin = time.perf_counter()
-    record = _build_record(cell, plan, jobs, jobs_backend, run_chunk,
-                           result_transport)
-    seconds = time.perf_counter() - begin
+    record = _execute_cell(cell, plan, jobs=jobs, jobs_backend=jobs_backend,
+                           run_chunk=run_chunk, result_transport=result_transport)
+    obs = get_recorder()
+    if obs is not NULL_RECORDER:
+        _observe_cell(obs, cell, record, time.perf_counter() - begin)
+    return record
+
+
+def _observe_cell(obs: Recorder, cell: PlannedCell, record: dict,
+                  seconds: float) -> None:
+    """Record one computed cell's verdict and wall time (every executor)."""
     status = record["status"]
     obs.counter(f"campaign.cells.{status}")
     obs.observe("campaign.cell_seconds", seconds)
     obs.event("campaign.cell", cell_id=cell.cell_id, index=cell.index,
               status=status, seconds=round(seconds, 6),
               backend=dict(cell.fields).get("backend", "python"))
-    return record
-
-
-def _build_record(cell: PlannedCell, plan: CampaignPlan, jobs: int,
-                  jobs_backend: str, run_chunk: int,
-                  result_transport: str) -> dict:
-    """The uninstrumented record build behind :func:`build_cell_record`."""
-    if cell.skip_reason is not None:
-        record = _cell_record_header(cell)
-        record["status"] = "na"
-        record["reason"] = cell.skip_reason
-        return record
-    return _execute_cell(cell, plan, jobs=jobs, jobs_backend=jobs_backend,
-                         run_chunk=run_chunk, result_transport=result_transport)
 
 
 def progress_line(cell: PlannedCell, total: int, record: dict) -> str:
@@ -289,6 +293,7 @@ def run_campaign(
         raise ValueError("max_cells must be at least 1")
     if cell_jobs < 1:
         raise ValueError("cell_jobs must be at least 1")
+    experiment.check_fanout(jobs, jobs_backend, run_chunk)
     obs = get_recorder()
     begin = 0.0 if obs is NULL_RECORDER else time.perf_counter()
     if obs is not NULL_RECORDER:
@@ -341,6 +346,24 @@ def _record_campaign_done(obs: Recorder, plan: CampaignPlan,
               interrupted=status.interrupted, seconds=round(seconds, 6))
 
 
+def select_pending(plan: CampaignPlan, store: _BaseStore,
+                   status: CampaignRunStatus,
+                   max_cells: Optional[int]) -> List[PlannedCell]:
+    """Tally the stored cells into ``status``; return the first
+    ``max_cells`` pending ones, in plan order (every executor's cell set)."""
+    pending: List[PlannedCell] = []
+    for cell in plan.cells:
+        existing = store.record_for(cell.cell_id)
+        if existing is not None:
+            _tally(status, existing)
+        else:
+            pending.append(cell)
+    selected = pending if max_cells is None else pending[:max_cells]
+    if len(selected) < len(pending):
+        status.interrupted = True
+    return selected
+
+
 def _run_campaign_serial(
     plan: CampaignPlan,
     store: ResultStore,
@@ -352,25 +375,29 @@ def _run_campaign_serial(
     progress: Optional[Callable[[str], None]],
     result_transport: str,
 ) -> CampaignRunStatus:
-    """The serial reference walk behind :func:`run_campaign`."""
+    """The serial reference walk behind :func:`run_campaign`: cells run one
+    by one, or pipelined through one pool when ``jobs > 1``
+    (:func:`_run_pipelined`); either way records persist in plan order."""
     emit = progress if progress is not None else (lambda _message: None)
     status = CampaignRunStatus(total=plan.total)
+
+    def persist(cell: PlannedCell, record: dict) -> None:
+        emit(progress_line(cell, plan.total, record))
+        store.append_cell(record)
+        status.executed_now += 1
+        _tally(status, record)
+
     try:
-        for cell in plan.cells:
-            existing = store.record_for(cell.cell_id)
-            if existing is not None:
-                _tally(status, existing)
-                continue
-            if max_cells is not None and status.executed_now >= max_cells:
-                status.interrupted = True
-                break
-            record = build_cell_record(
-                cell, plan, jobs=jobs, jobs_backend=jobs_backend,
-                run_chunk=run_chunk, result_transport=result_transport)
-            emit(progress_line(cell, plan.total, record))
-            store.append_cell(record)
-            status.executed_now += 1
-            _tally(status, record)
+        cells = select_pending(plan, store, status, max_cells)
+        if jobs > 1 and plan.campaign.runs:  # zero runs: nothing to pipeline
+            _run_pipelined(cells, plan, persist, jobs=jobs,
+                           jobs_backend=jobs_backend, run_chunk=run_chunk,
+                           result_transport=result_transport)
+        else:
+            for cell in cells:
+                persist(cell, build_cell_record(
+                    cell, plan, jobs=jobs, jobs_backend=jobs_backend,
+                    run_chunk=run_chunk, result_transport=result_transport))
     except KeyboardInterrupt:
         status.interrupted = True
         status.keyboard_interrupt = True
@@ -378,3 +405,82 @@ def _run_campaign_serial(
     status.pending_cells = [
         cell for cell in plan.cells if store.record_for(cell.cell_id) is None]
     return status
+
+
+class _PipelinedCell:
+    """One cell of the pipelined walk; ``record`` is set once it is done."""
+
+    def __init__(self, cell: PlannedCell, batches: int, max_steps: int) -> None:
+        self.cell, self.left, self.max_steps = cell, batches, max_steps
+        self.begin = time.perf_counter()
+        self.result = ExperimentResult(runs=0, successes=0)
+        self.error: Optional[Exception] = None
+        self.record: Optional[dict] = None
+
+    def merge(self, start: int, fetch: Callable[[], list]) -> None:
+        """Fold in the batch of runs from ``start``; build the record after the last."""
+        try:
+            for offset, outcome in enumerate(fetch()):
+                self.result.add_run(start + offset, outcome, self.max_steps)
+        except CELL_ERRORS as error:
+            self.error = self.error or error
+        self.left -= 1
+        if not self.left:
+            self.record = _error_record(self.cell, self.error) if self.error \
+                else _cell_record(self.cell, "ok", result=self.result.to_dict())
+
+
+def _run_pipelined(cells: List[PlannedCell], plan: CampaignPlan,
+                   persist: Callable[[PlannedCell, dict], None], *, jobs: int,
+                   jobs_backend: str, run_chunk: int,
+                   result_transport: str) -> None:
+    """Stream every cell's ``run_chunk`` batches through one worker pool.
+
+    All cells share one window of ``2 x jobs`` batches
+    (:func:`~repro.engine.experiment.merge_batches`), so no worker idles
+    at a cell boundary; finished records persist strictly in plan order.
+    """
+    campaign = plan.campaign
+    transport = resolve_transport(
+        result_transport, jobs_backend=jobs_backend, trace_policy="counts-only",
+        process_fanout=jobs_backend == "process")
+    settings = {"base_seed": campaign.base_seed, "max_steps": campaign.max_steps,
+                "stability_window": campaign.stability_window,
+                "trace_policy": "counts-only"}
+    obs = get_recorder()
+    outbox: deque = deque()  # every streamed cell not yet persisted, in plan order
+
+    def flush() -> None:
+        while outbox and outbox[0].record is not None:
+            done = outbox.popleft()
+            if obs is not NULL_RECORDER:
+                _observe_cell(obs, done.cell, done.record,
+                              time.perf_counter() - done.begin)
+            persist(done.cell, done.record)
+
+    def merge(run: _PipelinedCell, start: int, fetch: Callable) -> None:
+        run.merge(start, fetch)
+        flush()
+
+    def batches(submit: Callable, worker: Callable) -> Iterator[tuple]:
+        for cell in cells:
+            run = _PipelinedCell(cell, len(range(0, campaign.runs, run_chunk)),
+                                 campaign.max_steps)
+            outbox.append(run)
+            if cell.skip_reason is not None:
+                run.record = _cell_record(cell, "na", reason=cell.skip_reason)
+            else:
+                try:
+                    spec, _ = resolved_spec(cell.build_spec(), "counts-only")
+                except CELL_ERRORS as error:
+                    run.record = _error_record(cell, error)
+                else:
+                    yield from experiment.run_batches(
+                        partial(submit, worker, spec, **settings),
+                        campaign.runs, run_chunk, partial(merge, run))
+            flush()
+
+    with experiment.open_fanout(jobs_backend, jobs, transport) as (
+            submit, worker, receive, dispose):
+        experiment.merge_batches(batches(submit, worker), 2 * jobs,
+                                 receive=receive, dispose=dispose)

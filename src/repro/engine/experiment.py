@@ -50,8 +50,10 @@ import statistics
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, List, Optional
 
 from repro.engine.convergence import ConvergenceResult, run_until_stable
 from repro.engine.engine import SimulationEngine
@@ -120,6 +122,26 @@ class ExperimentResult:
         if not self.convergence_steps:
             return None
         return max(self.convergence_steps)
+
+    def add_run(self, run_index: int, outcome: ConvergenceResult, max_steps: int,
+                validate: Optional[Callable] = None) -> None:
+        """Fold one run's outcome in; runs must arrive in run-index order."""
+        self.runs += 1
+        failure: Optional[str] = None
+        if not outcome.converged:
+            failure = f"run {run_index}: did not converge within {max_steps} steps"
+        elif validate is not None:
+            error = validate(outcome)
+            if error is not None:
+                failure = f"run {run_index}: {error}"
+        if failure is None:
+            self.successes += 1
+            if outcome.steps_to_convergence is not None:
+                self.convergence_steps.append(outcome.steps_to_convergence)
+        else:
+            self.failures.append(failure)
+            if outcome.last_steps and len(self.failure_dumps) < MAX_FAILURE_DUMPS:
+                self.failure_dumps.append((run_index, outcome.last_steps))
 
     def summary(self) -> str:
         """One-line human-readable summary."""
@@ -365,13 +387,7 @@ def repeat_experiment(
         ``run_chunk``, purely a mechanism knob: the merged aggregate is
         identical for every transport.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    if run_chunk < 1:
-        raise ValueError("run_chunk must be at least 1")
-    if jobs_backend not in JOBS_BACKENDS:
-        raise ValueError(
-            f"unknown jobs_backend {jobs_backend!r}; expected one of {JOBS_BACKENDS}")
+    check_fanout(jobs, jobs_backend, run_chunk)
     if spec is not None:
         conflicting = [
             name for name, value in (
@@ -440,67 +456,79 @@ def repeat_experiment(
             )
 
     result = ExperimentResult(runs=0, successes=0)
+    merge = partial(result.add_run, max_steps=max_steps, validate=validate)
 
-    def merge(run_index: int, outcome: ConvergenceResult) -> None:
-        result.runs += 1
-        failure: Optional[str] = None
-        if not outcome.converged:
-            failure = f"run {run_index}: did not converge within {max_steps} steps"
-        elif validate is not None:
-            error = validate(outcome)
-            if error is not None:
-                failure = f"run {run_index}: {error}"
-        if failure is None:
-            result.successes += 1
-            if outcome.steps_to_convergence is not None:
-                result.convergence_steps.append(outcome.steps_to_convergence)
-        else:
-            result.failures.append(failure)
-            if outcome.last_steps and len(result.failure_dumps) < MAX_FAILURE_DUMPS:
-                result.failure_dumps.append((run_index, outcome.last_steps))
-
-    obs = get_recorder()
     if jobs > 1 and runs > 1:
         workers = min(jobs, runs)
-        if obs is not NULL_RECORDER:
-            obs.counter(f"fanout.backend.{jobs_backend}")
-            obs.counter(f"fanout.transport.{transport}")
-            obs.gauge("fanout.workers", workers)
-        if jobs_backend == "process":
-            if transport == "shm":
-                worker, receive, dispose = \
-                    run_spec_batch_shm, decode_batch, dispose_batch
+        with open_fanout(jobs_backend, workers, transport) as (
+                submit, worker, receive, dispose):
+            if spec is not None:
+                batch = partial(
+                    submit, worker, spec, base_seed=base_seed,
+                    max_steps=max_steps, stability_window=stability_window,
+                    trace_policy=policy, ring_size=ring_size)
             else:
-                worker, receive, dispose = run_spec_batch, None, None
-            with ProcessPoolExecutor(max_workers=workers) as executor:
-                submit = lambda start, count: executor.submit(  # noqa: E731
-                    worker, spec, start, count, base_seed, max_steps,
-                    stability_window, policy, ring_size)
-                if obs is not NULL_RECORDER:
-                    # Worker processes start with the NullRecorder, so
-                    # engine counters stay parent-side; what the parent can
-                    # see — batch latency and the transport lane each batch
-                    # actually rode — is recorded here.
-                    submit = _timed_submit(obs, submit)
-                    receive = _counted_receive(obs, receive)
-                _merge_windowed(submit, runs, run_chunk, workers, merge,
-                                receive=receive, dispose=dispose)
-        else:
-            def execute_batch(start: int, count: int) -> List[ConvergenceResult]:
-                return [execute_run(start + offset) for offset in range(count)]
+                def execute_batch(start: int, count: int) -> List[ConvergenceResult]:
+                    return [execute_run(start + offset) for offset in range(count)]
 
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                submit = lambda start, count: executor.submit(  # noqa: E731
-                    execute_batch, start, count)
-                if obs is not NULL_RECORDER:
-                    submit = _timed_submit(obs, submit)
-                _merge_windowed(submit, runs, run_chunk, workers, merge)
+                batch = partial(submit, execute_batch)
+            _merge_windowed(batch, runs, run_chunk, workers, merge,
+                            receive=receive, dispose=dispose)
     else:
+        obs = get_recorder()
         if obs is not NULL_RECORDER:
             obs.counter("fanout.backend.sequential")
         for run_index in range(runs):
             merge(run_index, execute_run(run_index))
     return result
+
+
+def check_fanout(jobs: int, jobs_backend: str, run_chunk: int) -> None:
+    """Validate the fan-out knobs every batch stream shares."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    if run_chunk < 1:
+        raise ValueError("run_chunk must be at least 1")
+    if jobs_backend not in JOBS_BACKENDS:
+        raise ValueError(
+            f"unknown jobs_backend {jobs_backend!r}; expected one of {JOBS_BACKENDS}")
+
+
+@contextmanager
+def open_fanout(jobs_backend: str, workers: int, transport: str) -> Iterator[tuple]:
+    """Open one worker pool for every batch the caller streams through it.
+
+    Yields ``(submit, worker, receive, dispose)``: the pool's ``submit``,
+    the lane's spec-batch function, and the transport hooks of
+    :func:`merge_batches`.  The pool class and the worker functions are
+    looked up at call time, so a stand-in patched onto this module (a
+    counting or tracing pool) is the one used.
+    """
+    obs = get_recorder()
+    if obs is not NULL_RECORDER:
+        obs.counter(f"fanout.backend.{jobs_backend}")
+        obs.counter(f"fanout.transport.{transport}")
+        obs.gauge("fanout.workers", workers)
+    worker: Callable[..., Any] = run_spec_batch
+    receive: Optional[Callable] = None
+    dispose: Optional[Callable] = None
+    if jobs_backend == "process":
+        pool: Any = ProcessPoolExecutor(max_workers=workers)
+        if transport == "shm":
+            worker, receive, dispose = run_spec_batch_shm, decode_batch, dispose_batch
+    else:
+        pool = ThreadPoolExecutor(max_workers=workers)
+    with pool as executor:
+        submit = executor.submit
+        if obs is not NULL_RECORDER:
+            submit = _timed_submit(obs, submit)
+            if jobs_backend == "process":
+                # Worker processes start with the NullRecorder, so engine
+                # counters stay parent-side; what the parent can see — batch
+                # latency and the transport lane each batch actually rode —
+                # is recorded here.
+                receive = _counted_receive(obs, receive)
+        yield submit, worker, receive, dispose
 
 
 def _timed_submit(obs: Recorder, submit: Callable) -> Callable:
@@ -510,9 +538,9 @@ def _timed_submit(obs: Recorder, submit: Callable) -> Callable:
     actually costs the fan-out); the done-callback runs on executor
     threads, which the metric recorders are safe against.
     """
-    def timed(start: int, count: int) -> Any:
+    def timed(*args: Any, **kwargs: Any) -> Any:
         begin = time.perf_counter()
-        future = submit(start, count)
+        future = submit(*args, **kwargs)
         future.add_done_callback(
             lambda _future: obs.observe(
                 "fanout.batch_seconds", time.perf_counter() - begin))
@@ -543,55 +571,82 @@ def _counted_receive(obs: Recorder, receive: Optional[Callable]) -> Callable:
     return counted
 
 
-def _merge_windowed(submit, runs: int, run_chunk: int, workers: int, merge,
-                    receive=None, dispose=None) -> None:
-    """Submit batch futures, merging in submission order as they stream in.
+def merge_batches(batches: Iterable[tuple], window: int,
+                  receive: Optional[Callable] = None,
+                  dispose: Optional[Callable] = None) -> None:
+    """Submit a stream of batches, merging in submission order as they stream in.
 
-    ``submit(start, count)`` must return a future resolving to the batch
-    payload for run indices ``start .. start + count - 1``; runs are
-    carved into batches of ``run_chunk`` consecutive indices.  Keeps at
-    most ``2 * workers`` batches outstanding: with full traces,
-    materialising every result (or letting completed futures pile up
-    behind a slow early batch) would hold up to ``runs x max_steps``
-    steps in memory.  Merging strictly in submission order is what makes
-    the fan-out deterministic for every backend and chunking.
+    The one windowed merge, for the batches of one experiment
+    (:func:`_merge_windowed`) or of many (a campaign's cells through one
+    pool).  ``batches`` yields ``(submit, merge)`` pairs, pulled one per
+    submission: ``submit()`` returns the batch's future, and
+    ``merge(fetch)`` calls ``fetch()`` once, which returns the batch's
+    :class:`ConvergenceResult` list through ``receive`` (the shm decode-
+    and-unlink hook; identity when ``None``) or raises what the worker
+    raised.  At most ``window`` batches are outstanding, so completed
+    results cannot pile up behind a slow early batch; merging strictly in
+    submission order makes the fan-out deterministic.
 
-    ``receive`` maps a future's payload to its
-    :class:`ConvergenceResult` list (the shm transport's
-    decode-and-unlink hook; identity when ``None`` — the payload already
-    is the list).  ``dispose`` releases a payload that will never be
-    received: when a worker or the merge raises mid-stream, the cleanup
-    path cancels what it can, waits out the batches already in flight,
-    and disposes each delivered payload — so no shared-memory arena
-    outlives a failed or interrupted fan-out.
+    If a worker, a merge or the stream raises, the queued batches are
+    cancelled, the ones in flight are waited out, and ``dispose`` releases
+    each delivered payload, so no shared-memory arena outlives the
+    fan-out.  Futures are only touched through ``result``, ``cancel``,
+    ``cancelled`` and ``exception``.
     """
-    window = 2 * workers
     pending: deque = deque()
-    merged = 0
 
     def drain_one() -> None:
-        nonlocal merged
-        payload = pending.popleft().result()
-        for outcome in (receive(payload) if receive is not None else payload):
-            merge(merged, outcome)
-            merged += 1
+        future, merge = pending.popleft()
+        merge(future.result if receive is None
+              else lambda: receive(future.result()))
 
     completed = False
     try:
-        for start in range(0, runs, run_chunk):
-            pending.append(submit(start, min(run_chunk, runs - start)))
+        for submit, merge in batches:
+            pending.append((submit(), merge))
             if len(pending) >= window:
                 drain_one()
         while pending:
             drain_one()
         completed = True
     finally:
-        if not completed and dispose is not None:
-            for future in pending:
+        if not completed:
+            for future, _ in pending:
                 future.cancel()
-            for future in pending:
+            for future, _ in pending:
                 # exception() waits for in-flight batches (they cannot be
                 # stopped mid-run) and returns rather than raises, so one
                 # crashed worker cannot mask the disposal of the others.
-                if not future.cancelled() and future.exception() is None:
+                if dispose is not None and not future.cancelled() \
+                        and future.exception() is None:
                     dispose(future.result())
+
+
+def _merge_windowed(submit: Callable, runs: int, run_chunk: int, workers: int,
+                    merge: Callable[[int, ConvergenceResult], None],
+                    receive: Optional[Callable] = None,
+                    dispose: Optional[Callable] = None) -> None:
+    """One experiment through :func:`merge_batches`: ``merge(run_index,
+    outcome)`` sees every run in run-index order, ``2 * workers`` batches
+    outstanding at most."""
+    merge_batches(run_batches(submit, runs, run_chunk, partial(_merge_runs, merge)),
+                  2 * workers, receive=receive, dispose=dispose)
+
+
+def run_batches(submit: Callable, runs: int, run_chunk: int,
+                merge: Callable) -> Iterator[tuple]:
+    """One experiment's runs as :func:`merge_batches` items.
+
+    Runs are carved into batches of ``run_chunk`` consecutive indices:
+    ``submit(start, count)`` returns the future of runs ``start .. start +
+    count - 1``, and ``merge(start, fetch)`` consumes it.
+    """
+    for start in range(0, runs, run_chunk):
+        yield (partial(submit, start, min(run_chunk, runs - start)),
+               partial(merge, start))
+
+
+def _merge_runs(merge: Callable[[int, ConvergenceResult], None], start: int,
+                fetch: Callable[[], List[ConvergenceResult]]) -> None:
+    for offset, outcome in enumerate(fetch()):
+        merge(start + offset, outcome)

@@ -614,6 +614,140 @@ class TestRunAndResume:
             assert one.read() == two.read()
 
 
+def interleaved_na_campaign() -> dict:
+    """Six cells: three computed ones, each followed by an n/a cell."""
+    return {
+        "name": "interleaved-na",
+        "base": {"protocol": "epidemic"},
+        "axes": {"population": [4, 6, 5], "omissions": [0, 1]},
+        "runs": 3,
+        "base_seed": 3,
+        "max_steps": 20_000,
+        "stability_window": 8,
+    }
+
+
+def store_bytes(store) -> bytes:
+    with open(store.path, "rb") as handle:
+        return handle.read()
+
+
+def psm_segments() -> set:
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {entry for entry in os.listdir("/dev/shm") if entry.startswith("psm_")}
+
+
+#: The pipelined walk's fan-out under test: one process pool, shm results.
+PIPELINED = dict(jobs=2, jobs_backend="process", result_transport="auto")
+
+
+class TestPipelinedWalk:
+    """``jobs > 1`` streams every cell's batches through one worker pool.
+
+    Records still persist in plan order, so the store is byte-identical
+    to the one-by-one walk's after every prefix, every interrupt and
+    every resume."""
+
+    @pytest.mark.parametrize("run_chunk", [1, 3])
+    def test_every_prefix_and_its_resume_match_the_serial_walk(
+            self, tmp_path, run_chunk):
+        plan = plan_campaign(campaign_from_dict(interleaved_na_campaign()))
+        serial = fresh_store(tmp_path, plan, "serial.jsonl")
+        run_campaign(plan, serial)
+        for prefix in range(1, plan.total + 1):
+            reference = fresh_store(tmp_path, plan, f"serial-{prefix}.jsonl")
+            run_campaign(plan, reference, max_cells=prefix)
+            store = fresh_store(tmp_path, plan, f"piped-{prefix}.jsonl")
+            status = run_campaign(plan, store, max_cells=prefix,
+                                  run_chunk=run_chunk, **PIPELINED)
+            assert status.executed_now == prefix
+            assert status.interrupted == (prefix < plan.total)
+            assert store_bytes(store) == store_bytes(reference)
+
+            resumed = ResultStore.open(store.path, plan.campaign.name,
+                                       plan.campaign_hash)
+            assert run_campaign(plan, resumed, run_chunk=run_chunk,
+                                **PIPELINED).complete
+            assert store_bytes(resumed) == store_bytes(serial)
+            assert render_report(plan, resumed.cell_records) == \
+                render_report(plan, serial.cell_records)
+
+    def test_one_pool_serves_the_whole_campaign(self, tmp_path, monkeypatch):
+        import repro.engine.experiment as experiment
+        real = experiment.ProcessPoolExecutor
+        pools = []
+
+        class CountingPool(real):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+        plan = plan_campaign(campaign_from_dict(small_campaign()))
+        store = fresh_store(tmp_path, plan)
+        assert run_campaign(plan, store, **PIPELINED).complete
+        assert pools == [2]
+        serial = fresh_store(tmp_path, plan, "serial.jsonl")
+        run_campaign(plan, serial)
+        assert store_bytes(store) == store_bytes(serial)
+
+    def test_a_worker_error_fails_only_its_cell(self, tmp_path, monkeypatch):
+        import repro.engine.experiment as experiment
+        real = experiment.run_spec
+
+        def failing(spec, run_index, *args, **kwargs):
+            # Run 1 of the n=6 cell only: its batch 0 still ships a payload.
+            if spec.population == 6 and run_index == 1:
+                raise ValueError("injected worker failure")
+            return real(spec, run_index, *args, **kwargs)
+
+        # Patched before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(experiment, "run_spec", failing)
+        plan = plan_campaign(campaign_from_dict(interleaved_na_campaign()))
+        before = psm_segments()
+        store = fresh_store(tmp_path, plan, "piped.jsonl")
+        status = run_campaign(plan, store, run_chunk=1, **PIPELINED)
+        assert status.complete and status.errors == 1
+        statuses = [store.record_for(cell.cell_id)["status"]
+                    for cell in plan.cells]
+        assert statuses == ["ok", "na", "error", "na", "ok", "na"]
+        assert "injected worker failure" in \
+            store.record_for(plan.cells[2].cell_id)["error"]
+        assert psm_segments() <= before
+        # The one-by-one walk meets the same failure in-process.
+        serial = fresh_store(tmp_path, plan, "serial.jsonl")
+        run_campaign(plan, serial)
+        assert store_bytes(store) == store_bytes(serial)
+
+    def test_interrupt_from_progress_keeps_finished_cells(self, tmp_path):
+        plan = plan_campaign(campaign_from_dict(interleaved_na_campaign()))
+        lines = []
+
+        def progress(line):
+            lines.append(line)
+            if len(lines) == 4:  # the fourth cell's line: Ctrl-C mid-stream
+                raise KeyboardInterrupt
+
+        before = psm_segments()
+        store = fresh_store(tmp_path, plan, "piped.jsonl")
+        status = run_campaign(plan, store, run_chunk=1, progress=progress,
+                              **PIPELINED)
+        assert status.interrupted and status.keyboard_interrupt
+        assert status.executed_now == 3 and "interrupted" in lines[-1]
+        reference = fresh_store(tmp_path, plan, "serial-3.jsonl")
+        run_campaign(plan, reference, max_cells=3)
+        assert store_bytes(store) == store_bytes(reference)
+
+        resumed = ResultStore.open(store.path, plan.campaign.name,
+                                   plan.campaign_hash)
+        assert run_campaign(plan, resumed, run_chunk=1, **PIPELINED).complete
+        serial = fresh_store(tmp_path, plan, "serial.jsonl")
+        run_campaign(plan, serial)
+        assert store_bytes(resumed) == store_bytes(serial)
+        assert psm_segments() <= before
+
+
 class TestFigure4Golden:
     def test_skno_ring_two_omissions_trajectories_are_pinned(self):
         """Per-run (steps_to_convergence, steps_executed, omissions) of the

@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.planner import plan_campaign
+from repro.campaign.queue import CampaignQueue
 from repro.campaign.report import render_report
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import campaign_from_dict
@@ -45,6 +46,7 @@ from repro.engine.transport import (
     encode_batch,
     resolve_transport,
 )
+from repro.obs import MetricsRecorder, recording
 from repro.protocols.registry import ExperimentSpec
 from repro.scheduling.runs import Interaction
 
@@ -297,6 +299,42 @@ class TestArenaCleanup:
                  if entry.startswith("psm_")}
         assert after <= before
         assert render_report(plan, store.cell_records) == reference
+
+
+    def test_queue_forwards_result_transport(self, tmp_path):
+        if transport.shm_unavailable_reason() is not None:
+            pytest.skip("shared memory unavailable")
+        data = {
+            "name": "shm-queue",
+            "base": {"protocol": "epidemic"},
+            "axes": {"population": [4, 6]},
+            "runs": 2, "base_seed": 3, "max_steps": 20_000,
+            "stability_window": 8,
+        }
+        plan = plan_campaign(campaign_from_dict(data))
+        serial = ResultStore.create(str(tmp_path / "serial.jsonl"),
+                                    plan.campaign.name, plan.campaign_hash)
+        run_campaign(plan, serial)
+
+        before = {entry for entry in os.listdir("/dev/shm")
+                  if entry.startswith("psm_")}
+        store = ResultStore.create(str(tmp_path / "queued.jsonl"),
+                                   plan.campaign.name, plan.campaign_hash)
+        queue = CampaignQueue()
+        queue.submit(plan, store, jobs=2, jobs_backend="process",
+                     result_transport="shm")
+        recorder = MetricsRecorder()
+        with recording(recorder):
+            [status] = queue.drain()
+        assert status.complete
+        counters = recorder.snapshot()["counters"]
+        assert counters["fanout.transport.shm"] == plan.total
+        assert "fanout.transport.pickle" not in counters
+        assert render_report(plan, store.cell_records) == \
+            render_report(plan, serial.cell_records)
+        after = {entry for entry in os.listdir("/dev/shm")
+                 if entry.startswith("psm_")}
+        assert after <= before
 
 
 # ---------------------------------------------------------------------------
