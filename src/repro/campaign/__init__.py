@@ -16,8 +16,8 @@ Pipeline (one module each)::
     store     ResultStore           append-only JSONL, atomic per-cell writes
               SharedResultStore     one cell pool shared by many campaigns
               compact_store         canonical rewrite, atomic via rename
-    runner    run_campaign          serial cell walk through repeat_experiment
-    executor  run_campaign_parallel cell-level worker pool (``--cell-jobs``)
+    runner    run_campaign          the one cell stream: one by one, or
+                                    pipelined through one worker pool
     queue     CampaignQueue         prioritised multi-campaign scheduler
     report    render_report         fold the store into verdict grids + tables
 
@@ -26,17 +26,17 @@ content-addressed id (a hash of the resolved experiment spec plus its
 seed block), the store streams finished cells with atomic appends, and
 cells are deterministic functions of their spec — so ``repro campaign
 resume`` skips completed cells and an interrupted campaign finishes to a
-report byte-identical to an uninterrupted run.  Under parallel execution
-records append in completion order, so the pin is *fold-equivalence*:
-every fold (status, report) consumes the record set keyed by cell id and
-is identical across executors, pool widths and interrupt points.
+report byte-identical to an uninterrupted run.  Stores shared by several
+processes hold records in any append order, so the pin is
+*fold-equivalence*: every fold (status, report) consumes the record set
+keyed by cell id and is identical for every append order and interrupt
+point.
 
 See ``docs/campaigns.md`` for the spec schema, the store format and the
 resume semantics, and ``examples/figure4_omission_sweep.json`` for a
 shipped campaign reproducing a Figure-4 omission-budget sweep slice.
 """
 
-from repro.campaign.executor import run_campaign_parallel
 from repro.campaign.planner import CampaignPlan, PlannedCell, plan_campaign
 from repro.campaign.queue import CampaignQueue, QueuedCampaign
 from repro.campaign.report import render_report
@@ -68,6 +68,5 @@ __all__ = [
     "plan_campaign",
     "render_report",
     "run_campaign",
-    "run_campaign_parallel",
     "store_kind",
 ]

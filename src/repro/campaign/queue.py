@@ -1,12 +1,14 @@
 """A prioritised in-process cell queue: many campaigns, one scheduler.
 
-The campaign runner and parallel executor each drive *one* campaign.
-This module is the multi-tenant layer above them: several pending
-campaigns are submitted to one :class:`CampaignQueue`, their cells merge
-into a single work list, and one ``drain`` call schedules everything
-through one cell-level worker pool — higher-priority campaigns' cells
-start first, ties broken by submission order then plan order, so the
-schedule is deterministic even though completion order is not.
+The campaign runner drives *one* campaign.  This module is the
+multi-tenant layer above it: several pending campaigns are submitted to
+one :class:`CampaignQueue`, their cells merge into a single work list,
+and one ``drain`` call feeds everything, in schedule order, to the
+runner's one cell stream (:func:`~repro.campaign.runner.stream_cells`)
+— higher-priority campaigns' cells first, ties broken by submission
+order then plan order, so the schedule is deterministic.  A queue of one
+campaign writes the same store bytes as
+:func:`~repro.campaign.runner.run_campaign`.
 
 Content addressing makes the queue deduplicating for free:
 
@@ -23,9 +25,8 @@ Campaigns sharing one store must be submitted with the *same* store
 object (the natural fit is a :class:`~repro.campaign.store.SharedResultStore`
 pool); the queue then appends each shared cell exactly once.
 
-Like the parallel executor, the queue keeps every store single-writer:
-workers compute records, the draining thread appends them.  Statuses
-mirror :class:`~repro.campaign.runner.CampaignRunStatus` semantics —
+The draining thread is every store's only appender.  Statuses mirror
+:class:`~repro.campaign.runner.CampaignRunStatus` semantics —
 ``executed_now`` counts cells this drain computed *fresh* for that
 campaign; records satisfied from another campaign's cache are tallied
 as done without counting as executed.
@@ -33,7 +34,6 @@ as done without counting as executed.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -42,7 +42,8 @@ from repro.campaign.runner import (
     CampaignRunStatus,
     _cell_record_header,
     _tally,
-    build_cell_record,
+    check_fanout,
+    stream_cells,
 )
 from repro.campaign.store import _BaseStore
 from repro.obs.recorder import NULL_RECORDER, get_recorder
@@ -50,17 +51,13 @@ from repro.obs.recorder import NULL_RECORDER, get_recorder
 
 @dataclass
 class QueuedCampaign:
-    """One submitted campaign: its plan, store, priority and fan-out knobs."""
+    """One submitted campaign: its plan, store and priority."""
 
     plan: CampaignPlan
     store: _BaseStore
     priority: int
     order: int
-    jobs: int
-    jobs_backend: str
-    run_chunk: int
     status: CampaignRunStatus
-    result_transport: str = "pickle"
 
     @property
     def name(self) -> str:
@@ -114,9 +111,7 @@ class CampaignQueue:
         return list(self._entries)
 
     def submit(self, plan: CampaignPlan, store: _BaseStore, *,
-               priority: Optional[int] = None, jobs: int = 1,
-               jobs_backend: str = "thread", run_chunk: int = 1,
-               result_transport: str = "pickle") -> QueuedCampaign:
+               priority: Optional[int] = None) -> QueuedCampaign:
         """Enqueue a campaign.  ``priority`` defaults to the spec's own
         ``priority`` field; larger values drain first."""
         entry = QueuedCampaign(
@@ -124,27 +119,25 @@ class CampaignQueue:
             store=store,
             priority=plan.campaign.priority if priority is None else priority,
             order=len(self._entries),
-            jobs=jobs,
-            jobs_backend=jobs_backend,
-            run_chunk=run_chunk,
             status=CampaignRunStatus(total=plan.total),
-            result_transport=result_transport,
         )
         self._entries.append(entry)
         return entry
 
-    def drain(self, *, cell_jobs: int = 1,
+    def drain(self, *, jobs: int = 1, jobs_backend: str = "thread",
+              run_chunk: int = 1, result_transport: str = "pickle",
               progress: Optional[Callable[[str], None]] = None,
               ) -> List[CampaignRunStatus]:
         """Run every pending cell of every submitted campaign.
 
-        Returns the per-campaign statuses in submission order.  Interrupting
-        the drain (Ctrl-C) cancels queued cells, lets in-flight ones finish
-        and persist, and leaves every store resumable — exactly the
-        parallel executor's contract, across campaigns.
+        The fan-out knobs mean what they mean for
+        :func:`~repro.campaign.runner.run_campaign`, and are checked before
+        any store is touched.  Returns the per-campaign statuses in
+        submission order.  Interrupting the drain (Ctrl-C) keeps every
+        finished cell persisted and leaves every store resumable.
         """
-        if cell_jobs < 1:
-            raise ValueError("cell_jobs must be at least 1")
+        transport = check_fanout(jobs, jobs_backend, run_chunk,
+                                 result_transport)
         emit = progress if progress is not None else (lambda _message: None)
         for entry in self._entries:
             entry.status = CampaignRunStatus(total=entry.plan.total)
@@ -169,8 +162,18 @@ class CampaignQueue:
             obs.counter("queue.cache_hits", len(queue) - len(to_run))
             obs.counter("queue.executed", len(to_run))
 
-        if to_run:
-            self._execute(to_run, cell_jobs, emit)
+        def persist(cell: PlannedCell, record: dict) -> None:
+            self._deliver(items[cell.cell_id], record, emit, executed=True)
+
+        owners = (item.owner for item in to_run)
+        if stream_cells([(cell, entry.plan) for entry, cell in owners], persist,
+                        jobs=jobs, jobs_backend=jobs_backend,
+                        run_chunk=run_chunk, result_transport=transport):
+            for entry in self._entries:
+                entry.status.interrupted = True
+                entry.status.keyboard_interrupt = True
+            emit("interrupted — every finished cell is persisted; "
+                 "drain again to continue")
         for entry in self._entries:
             entry.status.pending_cells = [
                 cell for cell in entry.plan.cells
@@ -222,45 +225,3 @@ class CampaignQueue:
             _tally(entry.status, entry.store.record_for(cell.cell_id))
             emit(f"[{entry.name}] cell {cell.index + 1}/{entry.plan.total} "
                  f"{record['status']}")
-
-    def _execute(self, to_run: List[_WorkItem], cell_jobs: int,
-                 emit: Callable[[str], None]) -> None:
-        """Compute the remaining items over the shared worker pool."""
-        from repro.campaign.executor import _completed_in_order
-
-        futures: List[Future] = []
-        item_of: Dict[Future, _WorkItem] = {}
-        try:
-            with ThreadPoolExecutor(
-                    max_workers=min(cell_jobs, len(to_run))) as pool:
-                for item in to_run:
-                    entry, cell = item.owner
-                    future = pool.submit(
-                        build_cell_record, cell, entry.plan, jobs=entry.jobs,
-                        jobs_backend=entry.jobs_backend,
-                        run_chunk=entry.run_chunk,
-                        result_transport=entry.result_transport)
-                    futures.append(future)
-                    item_of[future] = item
-                try:
-                    for future in _completed_in_order(futures):
-                        self._deliver(item_of[future], future.result(), emit,
-                                      executed=True)
-                except KeyboardInterrupt:
-                    for future in futures:
-                        future.cancel()
-                    raise
-        except KeyboardInterrupt:
-            for future in futures:
-                item = item_of[future]
-                owner_entry, owner_cell = item.owner
-                if future.done() and not future.cancelled() \
-                        and future.exception() is None \
-                        and owner_entry.store.record_for(
-                            owner_cell.cell_id) is None:
-                    self._deliver(item, future.result(), emit, executed=True)
-            for entry in self._entries:
-                entry.status.interrupted = True
-                entry.status.keyboard_interrupt = True
-            emit("interrupted — every finished cell is persisted; "
-                 "drain again to continue")

@@ -6,14 +6,14 @@ the acceptance property hold: an interrupted-and-resumed campaign, whose
 store holds the same records in a different append order, renders a
 report byte-identical to an uninterrupted run's.
 
-With parallel executors the pin is stated as **fold-equivalence**:
+The pin is stated as **fold-equivalence**:
 ``render_report(plan, records)`` consumes the record *set* — the
 ``records`` mapping is keyed by content-addressed cell id and every
 lookup walks the plan's own cell order, so on-disk append order (which
-is completion order under ``--cell-jobs > 1``) cannot reach the output.
-One report per record set, whatever executor, pool width, interrupt
-point or engine backend produced it; ``tests/test_campaign_executor.py``
-pins this against injected completion-order permutations.
+several processes sharing one store permute) cannot reach the output.
+One report per record set, whatever fan-out, interrupt point, append
+order or engine backend produced it; ``tests/test_campaign_executor.py``
+pins this against records appended in injected permutations.
 
 Layout: a header (campaign identity + completion summary), one verdict
 grid per combination of the non-grid axes (rows/cols chosen by the

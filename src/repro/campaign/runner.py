@@ -1,13 +1,17 @@
 """Campaign execution: dispatch planned cells and stream results to the store.
 
-The runner walks the plan in cell order, skips every cell the store
-already holds, and executes the rest: one by one through
+:func:`stream_cells` is the one place that executes cells.  It takes
+``(cell, plan)`` pairs and runs them one by one through
 :func:`~repro.engine.experiment.repeat_experiment` when ``jobs == 1``,
-pipelined through one worker pool whose batch window every cell shares
-(:func:`~repro.engine.experiment.merge_batches`) when ``jobs > 1``.
-Either way a campaign inherits the determinism guarantees the fan-out
-backends pin: a cell's result is a pure function of its resolved spec
-and seed block, and records persist in plan order, whatever the fan-out.
+or pipelined through one worker pool whose batch window every cell
+shares (:func:`~repro.engine.experiment.merge_batches`) when
+``jobs > 1``.  Either way a campaign inherits the determinism guarantees
+the fan-out backends pin: a cell's result is a pure function of its
+resolved spec and seed block, and records reach the persist callback in
+input order, whatever the fan-out.  :func:`run_campaign` feeds it one
+campaign's pending cells in plan order;
+:meth:`~repro.campaign.queue.CampaignQueue.drain` feeds it the
+deduplicated cells of many campaigns in schedule order.
 
 Interruption is a first-class outcome, not an error: cells are persisted
 one by one with atomic appends, so killing the runner loses at most the
@@ -19,14 +23,6 @@ deterministic prefix — and a
 store resumable.  ``repro campaign resume`` is the same walk again: done
 cells are skipped by content-addressed id, pending ones run, and the
 finished store folds to a report byte-identical to an uninterrupted run.
-
-``cell_jobs > 1`` hands the same walk to the cell-level parallel
-executor (:mod:`repro.campaign.executor`): the *set* of cells executed
-is identical — the first ``max_cells`` pending cells in plan order —
-but they overlap across a worker pool and persist in completion order.
-Folds are record-set functions (see :mod:`repro.campaign.store`), so
-the serial walk remains the semantic reference the executor is pinned
-against.
 """
 
 from __future__ import annotations
@@ -218,18 +214,15 @@ def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
     """The persistent record for one planned cell: ``n/a`` or executed.
 
     A pure function of (cell, seed block, fan-out knobs) with no store
-    access — which is what lets the parallel executor and the cell queue
-    call it from worker threads while a single writer owns the store.
+    access: the caller's persist callback is the store's only appender.
     ``result_transport`` rides along with the other fan-out knobs
-    (mechanism only — records are byte-identical for every transport);
-    even under the shm transport the record returned here is plain data,
-    so the main thread stays the store's only appender.
+    (mechanism only — records are byte-identical for every transport).
 
-    The per-cell executors (the ``jobs == 1`` walk, the parallel pool,
-    the queue) call it once per cell; it records the cell's wall time and
-    verdict through :func:`_observe_cell`, which the pipelined ``jobs > 1``
-    walk calls for the records it builds batch by batch.  Telemetry is
-    write-only: the returned record never carries it.
+    :func:`stream_cells` calls it once per cell when ``jobs == 1``; it
+    records the cell's wall time and verdict through :func:`_observe_cell`,
+    which the pipelined ``jobs > 1`` stream calls for the records it
+    builds batch by batch.  Telemetry is write-only: the returned record
+    never carries it.
     """
     begin = time.perf_counter()
     record = _execute_cell(cell, plan, jobs=jobs, jobs_backend=jobs_backend,
@@ -242,7 +235,7 @@ def build_cell_record(cell: PlannedCell, plan: CampaignPlan, *, jobs: int = 1,
 
 def _observe_cell(obs: Recorder, cell: PlannedCell, record: dict,
                   seconds: float) -> None:
-    """Record one computed cell's verdict and wall time (every executor)."""
+    """Record one computed cell's verdict and wall time (either stream)."""
     status = record["status"]
     obs.counter(f"campaign.cells.{status}")
     obs.observe("campaign.cell_seconds", seconds)
@@ -252,7 +245,7 @@ def _observe_cell(obs: Recorder, cell: PlannedCell, record: dict,
 
 
 def progress_line(cell: PlannedCell, total: int, record: dict) -> str:
-    """The one-line progress message for a finished cell (all executors)."""
+    """The one-line progress message for a finished cell."""
     labels = " ".join(f"{axis}={label}" for axis, label in cell.coordinates)
     prefix = f"cell {cell.index + 1}/{total} [{labels}]"
     if record["status"] == "na":
@@ -276,7 +269,6 @@ def run_campaign(
     run_chunk: int = 1,
     max_cells: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-    cell_jobs: int = 1,
     result_transport: str = "pickle",
 ) -> CampaignRunStatus:
     """Execute every pending cell of ``plan``, streaming records to ``store``.
@@ -284,32 +276,34 @@ def run_campaign(
     ``max_cells`` caps the number of cells *newly executed* by this call
     (``None`` = no cap); the return value reports ``interrupted=True`` when
     the cap stopped the walk early.  ``progress`` (e.g. ``print``) receives
-    one line per cell.  ``cell_jobs > 1`` overlaps independent cells across
-    a worker pool (:func:`repro.campaign.executor.run_campaign_parallel`);
-    the executed cell *set* and the folded results are identical to this
-    serial walk for every value.
+    one line per cell.  Records persist in plan order, so the store is
+    byte-identical for every fan-out setting.
     """
     if max_cells is not None and max_cells < 1:
         raise ValueError("max_cells must be at least 1")
-    if cell_jobs < 1:
-        raise ValueError("cell_jobs must be at least 1")
-    experiment.check_fanout(jobs, jobs_backend, run_chunk)
+    transport = check_fanout(jobs, jobs_backend, run_chunk, result_transport)
     obs = get_recorder()
     begin = 0.0 if obs is NULL_RECORDER else time.perf_counter()
     if obs is not NULL_RECORDER:
         record_campaign_planned(obs, plan)
-    if cell_jobs > 1:
-        from repro.campaign.executor import run_campaign_parallel
-        status = run_campaign_parallel(
-            plan, store, cell_jobs=cell_jobs, jobs=jobs,
-            jobs_backend=jobs_backend, run_chunk=run_chunk,
-            max_cells=max_cells, progress=progress,
-            result_transport=result_transport)
-    else:
-        status = _run_campaign_serial(
-            plan, store, jobs=jobs, jobs_backend=jobs_backend,
-            run_chunk=run_chunk, max_cells=max_cells, progress=progress,
-            result_transport=result_transport)
+    emit = progress if progress is not None else (lambda _message: None)
+    status = CampaignRunStatus(total=plan.total)
+
+    def persist(cell: PlannedCell, record: dict) -> None:
+        emit(progress_line(cell, plan.total, record))
+        store.append_cell(record)
+        status.executed_now += 1
+        _tally(status, record)
+
+    cells = select_pending(plan, store, status, max_cells)
+    if stream_cells([(cell, plan) for cell in cells], persist, jobs=jobs,
+                    jobs_backend=jobs_backend, run_chunk=run_chunk,
+                    result_transport=transport):
+        status.interrupted = True
+        status.keyboard_interrupt = True
+        emit(INTERRUPT_MESSAGE)
+    status.pending_cells = [
+        cell for cell in plan.cells if store.record_for(cell.cell_id) is None]
     if obs is not NULL_RECORDER:
         _record_campaign_done(obs, plan, status,
                               time.perf_counter() - begin)
@@ -350,7 +344,7 @@ def select_pending(plan: CampaignPlan, store: _BaseStore,
                    status: CampaignRunStatus,
                    max_cells: Optional[int]) -> List[PlannedCell]:
     """Tally the stored cells into ``status``; return the first
-    ``max_cells`` pending ones, in plan order (every executor's cell set)."""
+    ``max_cells`` pending ones, in plan order."""
     pending: List[PlannedCell] = []
     for cell in plan.cells:
         existing = store.record_for(cell.cell_id)
@@ -364,58 +358,59 @@ def select_pending(plan: CampaignPlan, store: _BaseStore,
     return selected
 
 
-def _run_campaign_serial(
-    plan: CampaignPlan,
-    store: ResultStore,
-    *,
-    jobs: int,
-    jobs_backend: str,
-    run_chunk: int,
-    max_cells: Optional[int],
-    progress: Optional[Callable[[str], None]],
-    result_transport: str,
-) -> CampaignRunStatus:
-    """The serial reference walk behind :func:`run_campaign`: cells run one
-    by one, or pipelined through one pool when ``jobs > 1``
-    (:func:`_run_pipelined`); either way records persist in plan order."""
-    emit = progress if progress is not None else (lambda _message: None)
-    status = CampaignRunStatus(total=plan.total)
+def check_fanout(jobs: int, jobs_backend: str, run_chunk: int,
+                 result_transport: str) -> str:
+    """Validate the fan-out knobs before any store is touched.
 
-    def persist(cell: PlannedCell, record: dict) -> None:
-        emit(progress_line(cell, plan.total, record))
-        store.append_cell(record)
-        status.executed_now += 1
-        _tally(status, record)
+    Bad knobs raise :class:`ValueError` (or the shm transport's
+    :class:`~repro.engine.transport.TransportError`) instead of reaching a
+    cell, where they would be stored as ``error`` verdicts that a resume
+    then treats as done.  Returns the concrete result transport.
+    """
+    experiment.check_fanout(jobs, jobs_backend, run_chunk)
+    return resolve_transport(
+        result_transport, jobs_backend=jobs_backend, trace_policy="counts-only",
+        process_fanout=jobs > 1 and jobs_backend == "process")
 
+
+def stream_cells(pairs: List[Tuple[PlannedCell, CampaignPlan]],
+                 persist: Callable[[PlannedCell, dict], None], *, jobs: int,
+                 jobs_backend: str, run_chunk: int,
+                 result_transport: str) -> bool:
+    """Execute ``(cell, plan)`` pairs, handing each record to ``persist``
+    in input order; ``True`` when a ``KeyboardInterrupt`` stopped it.
+
+    Each cell runs under its own plan's seed block and step budget: one by
+    one through :func:`build_cell_record` when ``jobs == 1``, pipelined
+    through one worker pool (:func:`_run_pipelined`) when ``jobs > 1``.
+    The knobs must have passed :func:`check_fanout`.
+    """
     try:
-        cells = select_pending(plan, store, status, max_cells)
-        if jobs > 1 and plan.campaign.runs:  # zero runs: nothing to pipeline
-            _run_pipelined(cells, plan, persist, jobs=jobs,
-                           jobs_backend=jobs_backend, run_chunk=run_chunk,
-                           result_transport=result_transport)
-        else:
-            for cell in cells:
+        if jobs == 1:
+            for cell, plan in pairs:
                 persist(cell, build_cell_record(
                     cell, plan, jobs=jobs, jobs_backend=jobs_backend,
                     run_chunk=run_chunk, result_transport=result_transport))
+        elif pairs:
+            _run_pipelined(pairs, persist, jobs=jobs,
+                           jobs_backend=jobs_backend, run_chunk=run_chunk,
+                           result_transport=result_transport)
     except KeyboardInterrupt:
-        status.interrupted = True
-        status.keyboard_interrupt = True
-        emit(INTERRUPT_MESSAGE)
-    status.pending_cells = [
-        cell for cell in plan.cells if store.record_for(cell.cell_id) is None]
-    return status
+        return True
+    return False
 
 
 class _PipelinedCell:
-    """One cell of the pipelined walk; ``record`` is set once it is done."""
+    """One cell of the pipelined stream; ``record`` is set once it is done."""
 
     def __init__(self, cell: PlannedCell, batches: int, max_steps: int) -> None:
         self.cell, self.left, self.max_steps = cell, batches, max_steps
         self.begin = time.perf_counter()
         self.result = ExperimentResult(runs=0, successes=0)
         self.error: Optional[Exception] = None
-        self.record: Optional[dict] = None
+        # A cell of zero runs has no batch to wait for.
+        self.record: Optional[dict] = None if batches else \
+            _cell_record(cell, "ok", result=self.result.to_dict())
 
     def merge(self, start: int, fetch: Callable[[], list]) -> None:
         """Fold in the batch of runs from ``start``; build the record after the last."""
@@ -430,7 +425,7 @@ class _PipelinedCell:
                 else _cell_record(self.cell, "ok", result=self.result.to_dict())
 
 
-def _run_pipelined(cells: List[PlannedCell], plan: CampaignPlan,
+def _run_pipelined(pairs: List[Tuple[PlannedCell, CampaignPlan]],
                    persist: Callable[[PlannedCell, dict], None], *, jobs: int,
                    jobs_backend: str, run_chunk: int,
                    result_transport: str) -> None:
@@ -438,17 +433,10 @@ def _run_pipelined(cells: List[PlannedCell], plan: CampaignPlan,
 
     All cells share one window of ``2 x jobs`` batches
     (:func:`~repro.engine.experiment.merge_batches`), so no worker idles
-    at a cell boundary; finished records persist strictly in plan order.
+    at a cell boundary; finished records persist strictly in input order.
     """
-    campaign = plan.campaign
-    transport = resolve_transport(
-        result_transport, jobs_backend=jobs_backend, trace_policy="counts-only",
-        process_fanout=jobs_backend == "process")
-    settings = {"base_seed": campaign.base_seed, "max_steps": campaign.max_steps,
-                "stability_window": campaign.stability_window,
-                "trace_policy": "counts-only"}
     obs = get_recorder()
-    outbox: deque = deque()  # every streamed cell not yet persisted, in plan order
+    outbox: deque = deque()  # every streamed cell not yet persisted, in order
 
     def flush() -> None:
         while outbox and outbox[0].record is not None:
@@ -463,7 +451,8 @@ def _run_pipelined(cells: List[PlannedCell], plan: CampaignPlan,
         flush()
 
     def batches(submit: Callable, worker: Callable) -> Iterator[tuple]:
-        for cell in cells:
+        for cell, plan in pairs:
+            campaign = plan.campaign
             run = _PipelinedCell(cell, len(range(0, campaign.runs, run_chunk)),
                                  campaign.max_steps)
             outbox.append(run)
@@ -476,11 +465,15 @@ def _run_pipelined(cells: List[PlannedCell], plan: CampaignPlan,
                     run.record = _error_record(cell, error)
                 else:
                     yield from experiment.run_batches(
-                        partial(submit, worker, spec, **settings),
+                        partial(submit, worker, spec,
+                                base_seed=campaign.base_seed,
+                                max_steps=campaign.max_steps,
+                                stability_window=campaign.stability_window,
+                                trace_policy="counts-only"),
                         campaign.runs, run_chunk, partial(merge, run))
             flush()
 
-    with experiment.open_fanout(jobs_backend, jobs, transport) as (
+    with experiment.open_fanout(jobs_backend, jobs, result_transport) as (
             submit, worker, receive, dispose):
         experiment.merge_batches(batches(submit, worker), 2 * jobs,
                                  receive=receive, dispose=dispose)

@@ -37,8 +37,8 @@ Appends are atomic at cell granularity: each record is written as a
 single ``os.write`` of one complete line on an ``O_APPEND`` descriptor,
 ``fsync``-ed before the runner moves on.  ``O_APPEND`` plus
 one-``write``-per-record is what makes **concurrent appenders** safe:
-parallel cell executors in one process (serialised by the store's lock)
-and independent processes sharing one pool file can interleave only at
+threads of one process (serialised by the store's lock) and
+independent processes sharing one pool file can interleave only at
 line granularity, never inside a record.  A crash can lose at most the
 record in flight — never corrupt a finished one.  If the process dies
 mid-write, the file ends in a torn (unparseable or unterminated) tail
@@ -48,8 +48,9 @@ record, and resumes from there.  Records are keyed by content-addressed
 the folded view of the store is unchanged — which is what makes
 interrupted-and-resumed campaigns render byte-identical reports.
 
-Record order on disk is **not** part of the contract: a parallel
-executor appends cells in completion order, which may differ run to run.
+Record order on disk is **not** part of the contract: several processes
+appending to one shared pool interleave their cells in whatever order
+they finish.
 Every consumer folds the record *set* — ``cell_records`` returns records
 keyed and ordered by sorted ``cell_id``, and reports look cells up by id
 in plan order — so two stores holding the same records in any order are
@@ -164,8 +165,8 @@ class _BaseStore:
         self.path = path
         self.manifest = manifest
         self._cells = cell_records
-        #: Serialises in-process appenders (the parallel executor appends
-        #: from one thread, but the queue and library callers need not).
+        #: Serialises in-process appenders (the runner and the queue append
+        #: from one thread, but library callers need not).
         self._lock = threading.Lock()
 
     # -- reading ----------------------------------------------------------------
@@ -181,10 +182,10 @@ class _BaseStore:
     def cell_records(self) -> Dict[str, Dict[str, Any]]:
         """Records keyed by cell id, **ordered by sorted cell id**.
 
-        Append order tracks execution order, which a parallel executor is
-        allowed to permute — so the iteration order handed to folds is
+        Append order tracks execution order, which concurrent appenders to
+        one file permute — so the iteration order handed to folds is
         normalised here, making every downstream consumer independent of
-        completion order by construction.
+        append order by construction.
         """
         return {cell_id: self._cells[cell_id]
                 for cell_id in sorted(self._cells)}

@@ -14,9 +14,10 @@ The CLI exposes the library's main workflows without writing any Python:
 ``repro campaign``
     Declarative, resumable parameter-sweep campaigns
     (:mod:`repro.campaign`): ``run`` a JSON campaign spec over a grid of
-    experiments with a persistent JSONL result store (``--cell-jobs K``
-    overlaps independent cells across a worker pool; ``--shared`` pools
-    cells across campaigns so overlapping grids are never recomputed),
+    experiments with a persistent JSONL result store (``--jobs N
+    --backend process`` streams every cell's runs through one worker
+    pool; ``--shared`` pools cells across campaigns so overlapping grids
+    are never recomputed),
     ``status`` it, ``resume`` an interrupted sweep (completed cells are
     skipped), render a Figure-4-style ``report``, and ``compact`` the
     store (drop superseded/orphaned records; reports are unchanged).
@@ -49,7 +50,8 @@ Examples::
     repro run --protocol epidemic --population 100000 --engine-backend array \
               --trace-policy counts-only --max-steps 2000000
     repro campaign run examples/figure4_omission_sweep.json
-    repro campaign run examples/figure4_omission_sweep.json --cell-jobs 4
+    repro campaign run examples/figure4_omission_sweep.json \
+          --jobs 4 --backend process
     repro campaign run examples/figure4_omission_sweep.json \
           --shared --store pool.results.jsonl
     repro campaign run examples/figure4_omission_sweep.json \
@@ -511,8 +513,6 @@ def _campaign_action(args) -> int:
     if args.action in ("run", "resume"):
         if args.max_cells is not None and args.max_cells < 1:
             raise SystemExit("--max-cells must be at least 1")
-        if args.cell_jobs < 1:
-            raise SystemExit("--cell-jobs must be at least 1")
         if args.jobs < 1:
             raise SystemExit("--jobs must be at least 1")
         if args.run_chunk < 1:
@@ -552,7 +552,6 @@ def _campaign_action(args) -> int:
             run_chunk=args.run_chunk,
             max_cells=args.max_cells,
             progress=progress,
-            cell_jobs=args.cell_jobs,
             result_transport=args.result_transport,
         )
         print(f"campaign {campaign.name}: {status.summary()}  (store: {store_path})")
@@ -823,20 +822,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="use a shared multi-campaign cell pool at the store path: "
              "campaigns with overlapping grids reuse each other's cells "
              "instead of recomputing (auto-detected for existing stores)")
-    campaign_parser.add_argument(
-        "--cell-jobs", type=int, default=1,
-        help="independent cells to keep in flight (cell-level worker pool; "
-             "composes with the per-cell --jobs fan-out)")
     campaign_parser.add_argument("--jobs", type=int, default=1,
-                                 help="workers for each cell's per-seed fan-out")
+                                 help="workers of the one pool every pending "
+                                      "cell's runs stream through")
     campaign_parser.add_argument("--backend", choices=JOBS_BACKENDS, default="thread",
-                                 help="fan-out backend for each cell's runs")
+                                 help="fan-out backend of that pool")
     campaign_parser.add_argument("--run-chunk", type=int, default=1,
                                  help="consecutive seeds per executor task "
                                       "(see repro run --run-chunk)")
     campaign_parser.add_argument("--result-transport", choices=RESULT_TRANSPORTS,
                                  default="auto",
-                                 help="result transport of each cell's process "
+                                 help="result transport of the process "
                                       "fan-out (see repro run "
                                       "--result-transport; campaign cells run "
                                       "counts-only, so auto picks shm whenever "

@@ -1,7 +1,7 @@
 """Write-only observability: metrics, timers, event sinks, live progress.
 
 The subsystem has one direction — instrumented layers (engine backends,
-the fan-out, the campaign runner/executor/queue) *write* to the
+the fan-out, the campaign runner/queue) *write* to the
 installed :class:`Recorder`; nothing in the hashed/fold layers (campaign
 planner/report/store, analysis) may import it or consume its values
 (lint rule RPL007).  The default :data:`NULL_RECORDER` makes every

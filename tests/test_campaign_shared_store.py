@@ -173,8 +173,8 @@ class TestCrossCampaignDedup:
     def test_parallel_execution_into_the_pool(self, tmp_path):
         plan_a, plan_b = overlapping_plans()
         pool = SharedResultStore.create(str(tmp_path / "pool.jsonl"))
-        run_into_pool(plan_a, pool, cell_jobs=4)
-        status = run_into_pool(plan_b, pool, cell_jobs=4)
+        run_into_pool(plan_a, pool, jobs=2, jobs_backend="process")
+        status = run_into_pool(plan_b, pool, jobs=2, jobs_backend="process")
         assert status.complete and status.executed_now == 2
 
 
@@ -459,8 +459,3 @@ class TestSharedStoreCLI:
         capsys.readouterr()
         assert main(["campaign", "report", spec]) == 0
         assert capsys.readouterr().out == shared_report
-
-    def test_cli_cell_jobs_validation(self, tmp_path):
-        spec = self.write_spec(tmp_path, small_campaign(), "grid.json")
-        with pytest.raises(SystemExit, match="--cell-jobs"):
-            main(["campaign", "run", spec, "--cell-jobs", "0"])

@@ -178,9 +178,9 @@ class TestStoreBypass:
         assert findings == []
 
     def test_new_campaign_modules_are_in_scope(self):
-        # The parallel executor and the queue hold no write path of their
-        # own — if one appears, it is a finding, not a new sanctioned case.
-        for module in ("repro.campaign.executor", "repro.campaign.queue"):
+        # The runner and the queue hold no write path of their own — if
+        # one appears, it is a finding, not a new sanctioned case.
+        for module in ("repro.campaign.runner", "repro.campaign.queue"):
             findings = lint_source(
                 "with open('out.jsonl', 'a') as fh:\n    fh.write('x')\n",
                 module=module)

@@ -462,12 +462,13 @@ class TestByteIdentity:
         assert bare == observed
         assert read_sink(str(tmp_path / "observed.metrics.jsonl"))
 
-    def test_parallel_executor_report_bytes_match(self, tmp_path):
+    def test_process_fanout_store_and_report_bytes_match(self, tmp_path):
         bare = self._execute(tmp_path, "bare", metrics=False)
-        _, observed_report = self._execute(
-            tmp_path, "observed", metrics=True, **{"cell-jobs": 2})
-        # Parallel appends permute the file; the report fold is the pin.
-        assert observed_report == bare[1]
+        observed = self._execute(
+            tmp_path, "observed", metrics=True,
+            **{"jobs": 2, "backend": "process"})
+        # Records persist in plan order under every fan-out.
+        assert observed == bare
 
     @pytest.mark.skipif(shm_unavailable_reason() is not None,
                         reason="shared memory unavailable")

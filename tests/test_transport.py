@@ -321,14 +321,14 @@ class TestArenaCleanup:
         store = ResultStore.create(str(tmp_path / "queued.jsonl"),
                                    plan.campaign.name, plan.campaign_hash)
         queue = CampaignQueue()
-        queue.submit(plan, store, jobs=2, jobs_backend="process",
-                     result_transport="shm")
+        queue.submit(plan, store)
         recorder = MetricsRecorder()
         with recording(recorder):
-            [status] = queue.drain()
+            [status] = queue.drain(jobs=2, jobs_backend="process",
+                                   result_transport="shm")
         assert status.complete
         counters = recorder.snapshot()["counters"]
-        assert counters["fanout.transport.shm"] == plan.total
+        assert counters["fanout.transport.shm"] == 1  # one pool per drain
         assert "fanout.transport.pickle" not in counters
         assert render_report(plan, store.cell_records) == \
             render_report(plan, serial.cell_records)
